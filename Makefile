@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-quick lint fuzz fuzz-routing bench bench-pytest bench-scale bench-sweep sweep experiments experiments-quick report profile examples live clean
+.PHONY: install test test-fast test-quick lint fuzz fuzz-routing bench sweep experiments experiments-quick report profile examples live clean
 
 install:
 	pip install -e '.[test]'
@@ -19,9 +19,9 @@ test-quick:
 # Same command CI runs; skips gracefully where ruff isn't installed.
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src tests benchmarks examples; \
+		$(PYTHON) -m ruff check src tests examples; \
 	elif command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests examples; \
 	else \
 		echo "ruff not installed; skipping lint (CI runs it)"; \
 	fi
@@ -39,25 +39,13 @@ fuzz-routing:
 	$(PYTHON) -m repro.testkit.fuzz --seeds 25 --quick --keep-going \
 		--profile routing
 
-# Substrate microbenchmarks + the perf gate: fails if any hot path
-# regresses past its per-workload tolerance vs the recorded baseline.
+# The NewsWire benchmark (BENCHMARK.json, newsbench/README.md): each
+# workload checks its deliveries and prints every metric with its unit.
 bench:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.bench_substrate -o BENCH_substrate.json
-	$(PYTHON) benchmarks/check_bench.py
-
-bench-pytest:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Mega-scale columnar benchmark: a 100k-node E2 latency-scaling point
-# on the columnar backend (docs/SCALE.md) + the guard/tolerance gate.
-bench-scale:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.bench_scale -o BENCH_scale.json
-	$(PYTHON) benchmarks/check_bench.py --scale
-
-# Serial-vs-parallel wall time on the quick sweeps -> BENCH_sweep.json
-# (speedup scales with physical cores; docs/PARALLEL.md).
-bench-sweep:
-	PYTHONPATH=src $(PYTHON) -m repro.parallel.bench_sweep -o BENCH_sweep.json
+	for workload in breaking-news interest-churn columnar-100k; do \
+		$(PYTHON) newsbench/run.py --workload $$workload --seed 1 --seconds 30 --trace 0 \
+			|| exit 1; \
+	done
 
 # The decomposable sweeps through the process-parallel executor —
 # output is byte-identical to the serial run (docs/PARALLEL.md).

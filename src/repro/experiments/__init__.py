@@ -2,8 +2,8 @@
 
 Each module is runnable (``python -m repro.experiments.eN_...``) and
 exposes ``run_eN(*, ...) -> ENResult`` with a ``report()`` table; the
-benchmarks under ``benchmarks/`` call the same drivers.  Importing
-this package registers every experiment in
+claim tests in ``tests/integration/test_experiments.py`` call the same
+drivers.  Importing this package registers every experiment in
 :mod:`repro.experiments.registry` (the ``@register`` decorators run),
 which is what drives ``python -m repro.experiments --list``.
 """

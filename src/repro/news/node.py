@@ -57,13 +57,12 @@ class NewsWireNode(PubSubNode):
         self,
         node_id: NodeId,
         runtime: Runtime,
-        config: Optional[NewsWireConfig] = None,
-        keychain: Optional[KeyChain] = None,
+        config: NewsWireConfig,
+        keychain: KeyChain,
         trace: Optional[TraceLog] = None,
         scheme: Optional[SubscriptionScheme] = None,
-        *legacy: Any,
     ):
-        super().__init__(node_id, runtime, config, keychain, trace, scheme, *legacy)
+        super().__init__(node_id, runtime, config, keychain, trace, scheme)
         self.cache = MessageCache(self.config.cache)
         metrics = self.trace.metrics
         self._m_flow_control = metrics.counter("news.flow_control_rejects")

@@ -49,7 +49,6 @@ from repro.pubsub.schemes import BloomScheme
 from repro.pubsub.subscription import Subscription
 from repro.scale.batched import BatchedGossip
 from repro.scale.columns import MembershipColumns
-from repro.scale.mesoscale import MesoscaleTier
 from repro.sim.engine import Simulation
 from repro.sim.network import HierarchicalLatency
 from repro.sim.rng import derive_rng
@@ -391,13 +390,10 @@ def build_columnar(
     config: Optional[NewsWireConfig] = None,
     *,
     publisher_names: Sequence[str] = ("newswire",),
-    publisher_rate: float = 50.0,
     subscriptions_for: Optional[Callable[[int], Sequence[Subscription]]] = None,
     seed: int = 0,
     sinks: Optional[Sequence[TraceSink]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    mesoscale: bool = False,
-    mesoscale_cool_rounds: int = 5,
     start: bool = True,
 ) -> ColumnarNewsWire:
     """Stand up a columnar NewsWire population.
@@ -406,15 +402,12 @@ def build_columnar(
     parameters the experiment runners use: the first
     ``len(publisher_names)`` nodes double as publishers and
     ``subscriptions_for(index)`` seeds each node's interests before
-    the time-zero aggregate build.  ``publisher_rate`` is accepted for
-    interface parity but unenforced (no flow-control model here).
-    ``mesoscale=True`` enables the cold-zone tier
-    (:mod:`repro.scale.mesoscale`).
+    the time-zero aggregate build.  Publishers are not rate limited
+    (no flow-control model here).
     """
     config = (config or NewsWireConfig()).validate()
     if num_nodes <= 0:
         raise ConfigurationError("num_nodes must be positive")
-    del publisher_rate  # interface parity only
 
     sim = Simulation(seed=seed)
     trace = TraceLog(
@@ -426,10 +419,7 @@ def build_columnar(
         config.branching_factor,
         representatives=config.multicast.representatives,
     )
-    tier = MesoscaleTier(
-        columns, enabled=mesoscale, cool_rounds=mesoscale_cool_rounds
-    )
-    gossip = BatchedGossip(sim, columns, config, tier)
+    gossip = BatchedGossip(sim, columns, config)
     system = ColumnarNewsWire(columns, sim, trace, scheme, config, gossip, seed)
 
     if subscriptions_for is not None:
@@ -469,12 +459,10 @@ def build_columnar_system(spec) -> Tuple[ColumnarNewsWire, InterestModel]:
         spec.num_nodes,
         spec.config if spec.config is not None else NewsWireConfig(),
         publisher_names=tuple(spec.publisher_names),
-        publisher_rate=spec.publisher_rate,
         subscriptions_for=interests.subscriptions_for,
         seed=spec.seed,
         sinks=spec.sinks,
         metrics=spec.metrics,
-        mesoscale=bool(getattr(spec, "mesoscale", False)),
     )
     return system, interests
 

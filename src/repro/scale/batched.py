@@ -4,7 +4,7 @@ The object backend schedules one jittered timer per agent per round —
 ``O(N)`` heap traffic before any protocol work happens.  Here a single
 :meth:`BatchedGossip.run_round` event advances the whole population:
 
-1. **heartbeat refresh** — clean hot zones take one shared stamp
+1. **heartbeat refresh** — clean zones take one shared stamp
    (``zone_refresh``), zones with failed members refresh per member;
 2. **expiry** — members whose heartbeat fell behind the shared
    :func:`repro.astrolabe.agent.expiry_cutoff` leave the membership
@@ -23,9 +23,7 @@ The object backend schedules one jittered timer per agent per round —
    :attr:`~repro.gossip.antientropy.VersionedStore.generation`
    counters are unchanged since their last exchange are skipped, so a
    converged population pays ``O(T)`` dict probes per round and zero
-   digest work;
-5. **mesoscale accounting** — the hot/cold tier demotes idle zones
-   (:mod:`repro.scale.mesoscale`).
+   digest work.
 
 Together with the analytic dissemination walk in
 :mod:`repro.scale.backend` this reproduces the object backend's
@@ -43,7 +41,6 @@ from repro.astrolabe.zone import ZoneTable
 from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
 from repro.scale.columns import MembershipColumns
-from repro.scale.mesoscale import MesoscaleTier
 from repro.sim.engine import Simulation
 
 
@@ -55,12 +52,10 @@ class BatchedGossip:
         sim: Simulation,
         columns: MembershipColumns,
         config: NewsWireConfig,
-        tier: Optional[MesoscaleTier] = None,
     ):
         self.sim = sim
         self.columns = columns
         self.config = config
-        self.tier = tier if tier is not None else MesoscaleTier(columns)
         self.round_index = 0
         self._timer = None
         #: Dirty zone ids per depth, processed one level per round.
@@ -134,7 +129,6 @@ class BatchedGossip:
 
     def mark_dirty(self, leaf_zone: int) -> None:
         """A leaf zone's membership or interests changed."""
-        self.tier.note_activity(leaf_zone, self.sim.now, self.round_index)
         self._pending[self.columns.levels - 1].add(leaf_zone)
 
     def fail_node(self, index: int) -> None:
@@ -143,7 +137,6 @@ class BatchedGossip:
         if not columns.alive[index]:
             return
         zone = columns.leaf_zone(index)
-        self.tier.note_activity(zone, self.sim.now, self.round_index)
         if columns.zone_clean[zone]:
             # Materialize the shared stamp before per-member tracking.
             stamp = columns.zone_refresh[zone]
@@ -172,9 +165,9 @@ class BatchedGossip:
         columns = self.columns
         cutoff = expiry_cutoff(now, self.config)
 
-        # 1 + 2: heartbeat refresh and expiry over the hot tier.
+        # 1 + 2: heartbeat refresh and expiry.
         heartbeat = columns.heartbeat
-        for zone in self.tier.hot_zones():
+        for zone in range(columns.leaf_zone_count):
             if columns.zone_clean[zone]:
                 columns.zone_refresh[zone] = now
                 continue
@@ -194,8 +187,7 @@ class BatchedGossip:
                 self.mark_dirty(zone)
             if not failed_left:
                 # All failures reaped: the zone is clean again and can
-                # go back to the shared-stamp fast path (and, later,
-                # the cold tier).
+                # go back to the shared-stamp fast path.
                 columns.zone_clean[zone] = 1
                 columns.zone_refresh[zone] = now
 
@@ -247,9 +239,6 @@ class BatchedGossip:
                 a.reconcile_with(b)
                 self._pair_gens[key] = (a.generation, b.generation)
                 self.reconciles += 1
-
-        # 5: tier demotions.
-        self.tier.on_round(self.round_index)
 
     # -- views -------------------------------------------------------------
 

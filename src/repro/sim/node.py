@@ -14,9 +14,7 @@ provides the small API protocol code is written against:
 The same process runs unchanged on the discrete-event
 :class:`~repro.runtime.sim.SimRuntime` or the live
 :class:`~repro.runtime.asyncio_udp.AsyncioUdpRuntime` — nothing in
-this class (or its subclasses) touches the simulator directly.  The
-historical ``Process(node_id, sim, network)`` form still works and is
-wrapped in a SimRuntime with a one-shot ``DeprecationWarning``.
+this class (or its subclasses) touches the simulator directly.
 
 Crash semantics follow the fail-stop model the paper's epidemic
 protocols assume: a crashed node neither receives nor sends, its
@@ -31,15 +29,13 @@ from typing import Any, Callable, Optional
 
 from repro.core.errors import NetworkError
 from repro.core.identifiers import NodeId
-from repro.runtime.compat import coerce_runtime
 from repro.runtime.interface import Handle, PeriodicHandle, Runtime
 
 
 class Process:
     """A protocol node participating in the network."""
 
-    def __init__(self, node_id: NodeId, runtime: Runtime, *legacy: Any):
-        runtime, _ = coerce_runtime(runtime, legacy, (), 0)
+    def __init__(self, node_id: NodeId, runtime: Runtime):
         self.node_id = node_id
         self.runtime = runtime
         self.crashed = False

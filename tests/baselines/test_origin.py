@@ -16,6 +16,7 @@ from repro.baselines.origin import (
     PullResponse,
 )
 from repro.news.item import NewsItem
+from repro.runtime.sim import SimRuntime
 
 
 def zp(text):
@@ -42,7 +43,7 @@ def rig():
     network = Network(sim, latency=FixedLatency(0.01))
     origin = OriginServer(zp("/o/www"), sim, network, capacity=100.0,
                           max_queue=5, page_items=3)
-    client = Client(zp("/c/c0"), sim, network)
+    client = Client(zp("/c/c0"), SimRuntime(sim, network))
     return sim, origin, client
 
 

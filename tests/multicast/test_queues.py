@@ -9,6 +9,7 @@ from repro.sim.engine import Simulation
 from repro.sim.network import FixedLatency, Network
 from repro.sim.node import Process
 from repro.multicast.queues import ForwardingQueues
+from repro.runtime.sim import SimRuntime
 
 
 def zp(text):
@@ -18,7 +19,7 @@ def zp(text):
 def make_queues(strategy: str, rate: float = 10.0):
     sim = Simulation(seed=1)
     network = Network(sim, latency=FixedLatency(0.001))
-    node = Process(zp("/z/fwd"), sim, network)
+    node = Process(zp("/z/fwd"), SimRuntime(sim, network))
     sent = []
     config = MulticastConfig(
         queue_strategy=strategy, max_send_rate=rate, forwarding_delay=0.0

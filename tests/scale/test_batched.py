@@ -1,6 +1,9 @@
 """BatchedGossip: staged propagation cadence, replica anti-entropy,
 failure expiry — the protocol semantics behind the one-event round."""
 
+import hashlib
+import json
+
 from repro.core.config import GossipConfig, NewsWireConfig
 from repro.pubsub.subscription import Subscription
 from repro.scale.backend import build_columnar
@@ -107,3 +110,47 @@ class TestFailureExpiry:
         for index in members[1:]:
             assert columns.node_path(index) in delivered
         assert columns.node_path(members[0]) not in delivered
+
+
+class TestQuietZones:
+    def test_failure_in_quiet_zone_expires_without_collateral(self):
+        """A zone quiet for many rounds rides the shared refresh stamp;
+        a failure there reaps only the failed node, never its alive
+        neighbours."""
+        system = build(512, seed=1)
+        columns = system.columns
+        system.run_for(10.0)
+        victim = 300
+        zone = columns.leaf_zone(victim)
+        assert columns.zone_clean[zone]
+        system.fail_node(victim)
+        system.run_for(60.0)
+        assert columns.member[victim] == 0
+        for neighbour in columns.leaf_members(zone):
+            if neighbour != victim:
+                assert columns.member[neighbour] == 1
+
+
+class TestDeliveryDigest:
+    def test_fixed_seed_delivery_set_is_pinned(self):
+        """Publish, subscribe mid-run, publish again: the sorted
+        (item, node) delivery set of a fixed-seed run never drifts."""
+        system = build(
+            512, subscriptions_for=lambda i: [Subscription(f"s/{i % 4}")], seed=3
+        )
+        system.run_for(3.0)
+        publisher = system.publisher("newswire")
+        publisher.publish_news("s/0", "one")
+        system.run_for(5.0)
+        system.subscribe(100, Subscription("s/fresh"))
+        system.run_for(5.0)
+        publisher.publish_news("s/fresh", "two")
+        system.run_for(10.0)
+        delivers = sorted(
+            (event["item"], event["node"]) for event in system.trace.events("deliver")
+        )
+        assert len(delivers) == 129  # 128 subscribers of s/0, then node 100
+        digest = hashlib.sha256(json.dumps(delivers).encode()).hexdigest()
+        assert digest == (
+            "b95f73b2441fba7ccf4c9d1e270b6f4902273fc1f10f64091afa890702bbb498"
+        )

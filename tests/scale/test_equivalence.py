@@ -1,5 +1,5 @@
 """Columnar ↔ object backend equivalence — the contract that makes
-BENCH_scale numbers meaningful.
+columnar numbers at 100k nodes speak for the object protocol.
 
 A fixed-seed run must produce the same *canonical trace* — sorted
 publish tuples and sorted ``(item, node)`` delivery pairs — on either

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import NetworkError
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import FixedLatency, Network
 from repro.sim.node import Process
@@ -35,7 +36,7 @@ class Recorder(Process):
 def node():
     sim = Simulation(seed=2)
     network = Network(sim, latency=FixedLatency(0.01))
-    return sim, network, Recorder(zp("/z/n"), sim, network)
+    return sim, network, Recorder(zp("/z/n"), SimRuntime(sim, network))
 
 
 class TestLifecycle:
@@ -121,14 +122,14 @@ class TestTimers:
 class TestMessaging:
     def test_receive_dispatches_to_hook(self, node):
         sim, network, process = node
-        other = Recorder(zp("/z/m"), sim, network)
+        other = Recorder(zp("/z/m"), SimRuntime(sim, network))
         other.send(process.node_id, "ping")
         sim.run()
         assert ("msg", "ping") in process.events
 
     def test_crashed_node_ignores_delivery(self, node):
         sim, network, process = node
-        other = Recorder(zp("/z/m"), sim, network)
+        other = Recorder(zp("/z/m"), SimRuntime(sim, network))
         other.send(process.node_id, "ping")
         process.crash()
         sim.run()
