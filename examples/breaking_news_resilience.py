@@ -19,9 +19,10 @@ from repro.baselines import OriginServer, PullClient
 from repro.core import MulticastConfig, NewsWireConfig
 from repro.core.identifiers import ZonePath
 from repro.experiments.common import drive_trace, item_from_publication
-from repro.metrics import latency_summary
 from repro.news import build_newswire
+from repro.obs import latency_summary
 from repro.pubsub import Subscription
+from repro.runtime import SimRuntime
 from repro.sim import FailureInjector, HierarchicalLatency, Network, Simulation
 from repro.sim.trace import TraceLog
 from repro.workloads import breaking_news_scenario
@@ -33,15 +34,16 @@ NUM_READERS = 400
 def centralized_world(scenario) -> None:
     sim = Simulation(seed=13)
     network = Network(sim, latency=HierarchicalLatency())
+    runtime = SimRuntime(sim, network)
     trace_log = TraceLog(sim, kinds={"pull-deliver"})
     origin = OriginServer(
-        ZonePath.parse("/www/news"), sim, network,
+        ZonePath.parse("/www/news"), runtime,
         capacity=150.0, max_queue=60, trace=trace_log,
     )
     failures = FailureInjector(sim, network)
     for index in range(NUM_READERS):
         PullClient(
-            ZonePath.parse(f"/homes/r{index}"), sim, network,
+            ZonePath.parse(f"/homes/r{index}"), runtime,
             origin.node_id, poll_interval=60.0, mode="delta",
             trace=trace_log,
         ).start()

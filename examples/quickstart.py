@@ -9,8 +9,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import NewsWireConfig
-from repro.metrics import latency_summary
 from repro.news import build_newswire
+from repro.obs import latency_summary
 from repro.pubsub import Subscription
 
 SUBJECTS = ["newswire/tech", "newswire/science", "newswire/sports"]

@@ -19,8 +19,9 @@ from repro.baselines import OriginServer, PullClient
 from repro.core import NewsWireConfig
 from repro.core.identifiers import ZonePath
 from repro.experiments.common import body_text, item_from_publication
-from repro.metrics import latency_summary
 from repro.news import FeedAgent, FeedEntry, SyntheticFeed, build_newswire
+from repro.obs import latency_summary
+from repro.runtime import SimRuntime
 from repro.sim import FixedLatency, Network, Simulation
 from repro.workloads import DAY, tech_news_scenario
 
@@ -30,9 +31,9 @@ POLLS_PER_DAY = (4, 24)
 def legacy_world(scenario) -> None:
     """Pull clients vs the origin server (the §1 status quo)."""
     sim = Simulation(seed=7)
-    network = Network(sim, latency=FixedLatency(0.05))
+    runtime = SimRuntime(sim, Network(sim, latency=FixedLatency(0.05)))
     origin = OriginServer(
-        ZonePath.parse("/www/slashdot"), sim, network,
+        ZonePath.parse("/www/slashdot"), runtime,
         capacity=5000.0, page_items=20,
     )
     for serial, publication in enumerate(scenario.trace, start=1):
@@ -44,7 +45,7 @@ def legacy_world(scenario) -> None:
     clients = []
     for index, visits in enumerate(POLLS_PER_DAY):
         client = PullClient(
-            ZonePath.parse(f"/homes/reader{index}"), sim, network,
+            ZonePath.parse(f"/homes/reader{index}"), runtime,
             origin.node_id, poll_interval=DAY / visits, mode="full",
         )
         client.start()

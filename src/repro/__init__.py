@@ -33,7 +33,8 @@ Package map
 * :mod:`repro.news` — the NewsWire application layer.
 * :mod:`repro.baselines` — pull / RSS / delta / push / CDN comparators.
 * :mod:`repro.workloads` — traces, interest models, scenarios.
-* :mod:`repro.metrics` — collectors, summaries, timelines, tables.
+* :mod:`repro.obs` — trace sinks, metrics, collectors, summaries,
+  timelines, tables.
 * :mod:`repro.experiments` — drivers reproducing every paper claim.
 """
 

@@ -28,8 +28,6 @@ from typing import Optional, Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import NodeId, ZonePath
 from repro.runtime.sim import SimRuntime
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.trace import TraceLog
 from repro.baselines.origin import OriginServer
@@ -59,14 +57,13 @@ class CdnOrigin(Process):
     def __init__(
         self,
         node_id: NodeId,
-        sim: Simulation,
-        network: Network,
+        runtime: SimRuntime,
         edges: Sequence[NodeId] = (),
         trace: Optional[TraceLog] = None,
     ):
-        super().__init__(node_id, SimRuntime(sim, network))
+        super().__init__(node_id, runtime)
         self.edges: list[NodeId] = list(edges)
-        self.trace = trace if trace is not None else TraceLog(sim, kinds=set())
+        self.trace = trace if trace is not None else TraceLog(runtime.sim, kinds=set())
         self.stats = CdnStats()
 
     def add_edge(self, edge: NodeId) -> None:
@@ -100,8 +97,7 @@ class EdgeNode(OriginServer):
 
 
 def build_cdn(
-    sim: Simulation,
-    network: Network,
+    runtime: SimRuntime,
     num_edges: int,
     capacity_per_edge: float = 200.0,
     page_items: int = 20,
@@ -117,8 +113,7 @@ def build_cdn(
     edges = [
         EdgeNode(
             ZonePath.parse(f"/region{index}/edge"),
-            sim,
-            network,
+            runtime,
             capacity=capacity_per_edge,
             page_items=page_items,
             trace=trace,
@@ -127,8 +122,7 @@ def build_cdn(
     ]
     origin = CdnOrigin(
         ZonePath.parse("/origin/cdn"),
-        sim,
-        network,
+        runtime,
         edges=[edge.node_id for edge in edges],
         trace=trace,
     )

@@ -21,8 +21,6 @@ from typing import Deque, Dict, Optional, Set
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import NodeId
 from repro.runtime.sim import SimRuntime
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.trace import TraceLog
 from repro.news.item import NewsItem
@@ -51,16 +49,15 @@ class PushOrigin(Process):
     def __init__(
         self,
         node_id: NodeId,
-        sim: Simulation,
-        network: Network,
+        runtime: SimRuntime,
         send_rate: float = 500.0,   # unicast sends per second (uplink cap)
         trace: Optional[TraceLog] = None,
     ):
         if send_rate <= 0:
             raise ConfigurationError("send_rate must be positive")
-        super().__init__(node_id, SimRuntime(sim, network))
+        super().__init__(node_id, runtime)
         self.send_rate = send_rate
-        self.trace = trace if trace is not None else TraceLog(sim, kinds=set())
+        self.trace = trace if trace is not None else TraceLog(runtime.sim, kinds=set())
         self.stats = PushOriginStats()
         self._subscribers: Dict[NodeId, Set[str]] = {}
         self._backlog: Deque[tuple[NodeId, PushDelivery]] = deque()
@@ -115,12 +112,11 @@ class PushSubscriber(Process):
     def __init__(
         self,
         node_id: NodeId,
-        sim: Simulation,
-        network: Network,
+        runtime: SimRuntime,
         trace: Optional[TraceLog] = None,
     ):
-        super().__init__(node_id, SimRuntime(sim, network))
-        self.trace = trace if trace is not None else TraceLog(sim, kinds=set())
+        super().__init__(node_id, runtime)
+        self.trace = trace if trace is not None else TraceLog(runtime.sim, kinds=set())
         self.received = 0
 
     def on_message(self, sender: NodeId, message: object) -> None:

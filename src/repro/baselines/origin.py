@@ -26,9 +26,7 @@ from typing import Deque, Optional
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import NodeId
 from repro.runtime.sim import SimRuntime
-from repro.sim.engine import Simulation
 from repro.sim.failures import FloodMessage
-from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.trace import TraceLog
 from repro.news.item import NewsItem
@@ -101,8 +99,7 @@ class OriginServer(Process):
     def __init__(
         self,
         node_id: NodeId,
-        sim: Simulation,
-        network: Network,
+        runtime: SimRuntime,
         capacity: float = 200.0,       # requests served per second
         max_queue: int = 100,
         page_items: int = 15,
@@ -112,11 +109,11 @@ class OriginServer(Process):
             raise ConfigurationError("capacity must be positive")
         if max_queue < 1:
             raise ConfigurationError("max_queue must be >= 1")
-        super().__init__(node_id, SimRuntime(sim, network))
+        super().__init__(node_id, runtime)
         self.capacity = capacity
         self.max_queue = max_queue
         self.page_items = page_items
-        self.trace = trace if trace is not None else TraceLog(sim, kinds=set())
+        self.trace = trace if trace is not None else TraceLog(runtime.sim, kinds=set())
         self.stats = OriginStats()
         self._items: list[NewsItem] = []
         self._queue: Deque[tuple[NodeId, object]] = deque()

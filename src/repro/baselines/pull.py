@@ -17,8 +17,6 @@ from typing import Optional, Set
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import NodeId
 from repro.runtime.sim import SimRuntime
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.trace import TraceLog
 from repro.baselines.origin import (
@@ -55,8 +53,7 @@ class PullClient(Process):
     def __init__(
         self,
         node_id: NodeId,
-        sim: Simulation,
-        network: Network,
+        runtime: SimRuntime,
         origin: NodeId,
         poll_interval: float,
         mode: str = "full",
@@ -67,12 +64,12 @@ class PullClient(Process):
             raise ConfigurationError(f"unknown pull mode {mode!r}")
         if poll_interval <= 0:
             raise ConfigurationError("poll_interval must be positive")
-        super().__init__(node_id, SimRuntime(sim, network))
+        super().__init__(node_id, runtime)
         self.origin = origin
         self.poll_interval = poll_interval
         self.mode = mode
         self.subjects = subjects  # None = interested in everything
-        self.trace = trace if trace is not None else TraceLog(sim, kinds=set())
+        self.trace = trace if trace is not None else TraceLog(runtime.sim, kinds=set())
         self.stats = PullClientStats()
         self._seen_serials: Set[int] = set()
         self._last_serial = 0

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
-from repro.metrics.report import format_table
+from repro.obs.stats import format_table
 from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
 from repro.experiments.common import validate_positive, validate_seed

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import GossipConfig, MulticastConfig, NewsWireConfig
-from repro.metrics.report import format_table
 from repro.news.deployment import build_newswire
 from repro.obs.causal import CausalSink, format_causal_report
+from repro.obs.stats import format_table
 from repro.pubsub.subscription import Subscription
 from repro.experiments.common import (
     validate_positive,

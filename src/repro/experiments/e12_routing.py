@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.config import BloomConfig, NewsWireConfig
-from repro.metrics.report import format_table
 from repro.obs.causal import CausalSink, format_causal_report
 from repro.obs.sinks import MemorySink, TraceSink
+from repro.obs.stats import format_table
 from repro.pubsub.engine import build_pubsub
 from repro.pubsub.schemes import (
     BloomScheme,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import FixedLatency, Network
 from repro.baselines.origin import OriginServer
@@ -29,7 +30,7 @@ from repro.experiments.common import (
     validate_sizes,
 )
 from repro.experiments.registry import register
-from repro.metrics.report import format_table
+from repro.obs.stats import format_table
 from repro.workloads.traces import DAY, diurnal_trace
 
 
@@ -101,11 +102,10 @@ def run_e1(
     validate_sizes("visits_per_day", visits_per_day)
     validate_seed(seed)
     sim = Simulation(seed=seed)
-    network = Network(sim, latency=FixedLatency(0.05))
+    runtime = SimRuntime(sim, Network(sim, latency=FixedLatency(0.05)))
     origin = OriginServer(
         ZonePath.parse("/origin/www"),
-        sim,
-        network,
+        runtime,
         capacity=10_000.0,  # uncontended here; E4 studies overload
         page_items=page_items,
     )
@@ -128,8 +128,7 @@ def run_e1(
         for visits in visits_per_day:
             client = PullClient(
                 ZonePath.parse(f"/clients/c{index}"),
-                sim,
-                network,
+                runtime,
                 origin.node_id,
                 poll_interval=DAY / visits,
                 mode=mode,

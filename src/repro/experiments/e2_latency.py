@@ -36,12 +36,11 @@ from repro.experiments.common import (
     validate_sizes,
 )
 from repro.experiments.registry import SweepCell, register
-from repro.metrics.collectors import collect_delivery_stats, delivery_ratio
-from repro.metrics.report import format_table
-from repro.metrics.stats import Summary
 from repro.obs.causal import CausalSink, format_causal_report
+from repro.obs.collectors import collect_delivery_stats, delivery_ratio
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink, StreamingSink, TraceSink
+from repro.obs.stats import Summary, format_table
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
 from repro.workloads.traces import Publication
 

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import HierarchicalLatency, Network
 from repro.sim.trace import TraceLog
@@ -45,8 +46,7 @@ from repro.experiments.common import (
     validate_sizes,
 )
 from repro.experiments.registry import register
-from repro.metrics.report import format_table
-from repro.metrics.stats import Summary
+from repro.obs.stats import Summary, format_table
 from repro.news.deployment import build_newswire
 from repro.workloads.populations import InterestModel
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
@@ -102,13 +102,14 @@ def _run_direct_push(
 ) -> E3Row:
     sim = Simulation(seed=seed)
     network = Network(sim, latency=HierarchicalLatency())
+    runtime = SimRuntime(sim, network)
     trace_log = TraceLog(sim, kinds={"push-deliver"})
     origin = PushOrigin(
-        ZonePath.parse("/origin/push"), sim, network, send_rate=1000.0, trace=trace_log
+        ZonePath.parse("/origin/push"), runtime, send_rate=1000.0, trace=trace_log
     )
     for index in range(num_subscribers):
         subscriber = PushSubscriber(
-            ZonePath.parse(f"/subs/s{index}"), sim, network, trace=trace_log
+            ZonePath.parse(f"/subs/s{index}"), runtime, trace=trace_log
         )
         origin.subscribe(
             subscriber.node_id,
@@ -142,16 +143,16 @@ def _run_pull(
 ) -> E3Row:
     sim = Simulation(seed=seed)
     network = Network(sim, latency=HierarchicalLatency())
+    runtime = SimRuntime(sim, network)
     trace_log = TraceLog(sim, kinds={"pull-deliver"})
     origin = OriginServer(
-        ZonePath.parse("/origin/www"), sim, network, capacity=100_000.0,
+        ZonePath.parse("/origin/www"), runtime, capacity=100_000.0,
         trace=trace_log,
     )
     for index in range(num_subscribers):
         client = PullClient(
             ZonePath.parse(f"/subs/s{index}"),
-            sim,
-            network,
+            runtime,
             origin.node_id,
             poll_interval=poll_interval,
             mode="full",
@@ -194,16 +195,16 @@ def _run_cdn(
 
     sim = Simulation(seed=seed)
     network = Network(sim, latency=HierarchicalLatency())
+    runtime = SimRuntime(sim, network)
     trace_log = TraceLog(sim, kinds={"pull-deliver"})
     origin, edges = build_cdn(
-        sim, network, num_edges, capacity_per_edge=100_000.0, trace=trace_log
+        runtime, num_edges, capacity_per_edge=100_000.0, trace=trace_log
     )
     for index in range(num_subscribers):
         home = ZonePath.parse(f"/region{index % num_edges}/homes/c{index}")
         PullClient(
             home,
-            sim,
-            network,
+            runtime,
             nearest_edge(home, edges).node_id,
             poll_interval=poll_interval,
             mode="delta",

@@ -25,6 +25,7 @@ from typing import Sequence
 
 from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.failures import FailureInjector
 from repro.sim.network import HierarchicalLatency, Network
@@ -38,9 +39,8 @@ from repro.experiments.common import (
     validate_seed,
 )
 from repro.experiments.registry import register
-from repro.metrics.collectors import collect_delivery_stats, delivery_ratio
-from repro.metrics.report import format_table
-from repro.metrics.stats import Summary
+from repro.obs.collectors import collect_delivery_stats, delivery_ratio, event_timeline
+from repro.obs.stats import Summary, format_table, sparkline
 from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
 from repro.workloads.traces import Publication
@@ -98,15 +98,16 @@ def _run_pull_under_flood(
 ) -> E4Row:
     sim = Simulation(seed=seed)
     network = Network(sim, latency=HierarchicalLatency())
+    runtime = SimRuntime(sim, network)
     trace_log = TraceLog(sim, kinds={"pull-deliver"})
     origin = OriginServer(
-        ZonePath.parse("/origin/www"), sim, network,
+        ZonePath.parse("/origin/www"), runtime,
         capacity=capacity, max_queue=50, trace=trace_log,
     )
     failures = FailureInjector(sim, network)
     for index in range(num_clients):
         PullClient(
-            ZonePath.parse(f"/subs/s{index}"), sim, network, origin.node_id,
+            ZonePath.parse(f"/subs/s{index}"), runtime, origin.node_id,
             poll_interval=poll_interval, mode="delta", trace=trace_log,
         ).start()
     burst = _burst_trace(start=60.0, items=items, subject="reuters/world")
@@ -242,8 +243,6 @@ def run_e4_timeline(
     seed: int = 0,
 ) -> E4Timeline:
     """The per-window delivery-rate series behind the E4 table."""
-    from repro.metrics.timeline import event_timeline, sparkline
-
     _, pull_trace = _run_pull_under_flood(num_clients, flood_rate, items, seed)
     _, newswire_trace = _run_newswire_under_flood(
         num_clients, flood_rate, items, seed

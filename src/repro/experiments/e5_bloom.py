@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from repro.core.bloom import BloomFilter
 from repro.core.config import BloomConfig, NewsWireConfig
-from repro.metrics.report import format_table
+from repro.obs.stats import format_table
 from repro.pubsub.engine import build_pubsub
 from repro.pubsub.schemes import BloomScheme, PublisherMaskScheme, categories_registry
 from repro.workloads.populations import InterestModel

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from repro.core.config import GossipConfig, NewsWireConfig
 from repro.core.errors import ConfigurationError
-from repro.metrics.report import format_table
+from repro.obs.stats import format_table
 from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for

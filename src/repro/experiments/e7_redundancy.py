@@ -25,8 +25,8 @@ from repro.experiments.common import (
     validate_sizes,
 )
 from repro.experiments.registry import SweepCell, register
-from repro.metrics.collectors import delivery_ratio
-from repro.metrics.report import format_table
+from repro.obs.collectors import delivery_ratio
+from repro.obs.stats import format_table
 from repro.news.deployment import build_newswire
 from repro.workloads.populations import InterestModel
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for

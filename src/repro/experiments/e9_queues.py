@@ -23,8 +23,7 @@ from repro.experiments.common import (
     validate_seed,
 )
 from repro.experiments.registry import register
-from repro.metrics.report import format_table
-from repro.metrics.stats import Summary
+from repro.obs.stats import Summary, format_table
 from repro.news.deployment import build_newswire
 from repro.workloads.populations import InterestModel
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for

@@ -1,6 +1,6 @@
-"""Streaming observability: sinks, metrics and run manifests.
+"""Observability and statistics: sinks, metrics, collectors, tables.
 
-The subsystem has three pieces (see ``docs/OBSERVABILITY.md``):
+The subsystem has five pieces (see ``docs/OBSERVABILITY.md``):
 
 * **Sinks** (:mod:`repro.obs.sinks`) — where trace events go.  The
   :class:`~repro.sim.trace.TraceLog` is a fan-out dispatcher over a
@@ -13,6 +13,11 @@ The subsystem has three pieces (see ``docs/OBSERVABILITY.md``):
   anti-entropy delta bytes, Bloom tests and hits, queue depths).
 * **Manifests** (:mod:`repro.obs.manifest`) — the per-run provenance
   artifact (seed, config, git revision, wall time, metric snapshot).
+* **Statistics** (:mod:`repro.obs.stats`) — exact percentiles and
+  summaries, time buckets, sparklines and the fixed-width tables every
+  experiment prints.
+* **Collectors** (:mod:`repro.obs.collectors`) — delivery latencies,
+  ratios and event timelines read from a trace's sinks.
 """
 
 from repro.obs.causal import (
@@ -22,6 +27,14 @@ from repro.obs.causal import (
     PathSegment,
     Span,
     format_causal_report,
+)
+from repro.obs.collectors import (
+    DeliveryStats,
+    collect_delivery_stats,
+    delivery_latencies,
+    delivery_ratio,
+    event_timeline,
+    latency_summary,
 )
 from repro.obs.manifest import RunManifest, git_revision, manifest_schema_errors
 from repro.obs.metrics import (
@@ -46,6 +59,16 @@ from repro.obs.sinks import (
     TraceSink,
     normalize_field,
 )
+from repro.obs.stats import (
+    Summary,
+    TimeBucket,
+    bucketize,
+    format_table,
+    format_value,
+    percentile,
+    ratio,
+    sparkline,
+)
 from repro.obs.timeseries import (
     RingBufferSeries,
     TimeSeriesBundle,
@@ -58,6 +81,7 @@ __all__ = [
     "Counter",
     "CriticalPath",
     "DEFAULT_BUCKETS",
+    "DeliveryStats",
     "Gauge",
     "Histogram",
     "HistogramData",
@@ -71,16 +95,29 @@ __all__ = [
     "RunManifest",
     "Span",
     "StreamingSink",
+    "Summary",
+    "TimeBucket",
     "TimeSeriesBundle",
     "TimeSeriesRecorder",
     "TraceEvent",
     "TraceSink",
+    "bucketize",
+    "collect_delivery_stats",
+    "delivery_latencies",
+    "delivery_ratio",
+    "event_timeline",
     "format_causal_report",
     "format_profile_report",
+    "format_table",
+    "format_value",
     "git_revision",
+    "latency_summary",
     "manifest_schema_errors",
     "normalize_field",
+    "percentile",
     "probe_queue_depths",
     "profile_simulations",
+    "ratio",
     "record_simulations",
+    "sparkline",
 ]

@@ -34,9 +34,11 @@ retains O(edges + spans) derived state, never raw event objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+
+from repro.obs.stats import format_table
 
 __all__ = [
     "CausalSink",
@@ -810,10 +812,6 @@ class CausalSink:
 
 def format_causal_report(sink: CausalSink, max_items: int = 10) -> str:
     """Printable report: critical paths, hops, fan-out, loss causes."""
-    # Imported lazily: repro.metrics pulls in collector modules that
-    # reach back into repro.obs, and the report path is never hot.
-    from repro.metrics.report import format_table
-
     lines: List[str] = []
     paths = [
         path

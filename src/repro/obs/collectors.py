@@ -1,4 +1,4 @@
-"""Extract experiment metrics from traces, sinks and network counters.
+"""Extract experiment metrics from a trace and its sinks.
 
 The collectors prefer the cheapest source that can answer the
 question (see ``docs/OBSERVABILITY.md``):
@@ -16,12 +16,13 @@ question (see ``docs/OBSERVABILITY.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.identifiers import NodeId
-from repro.sim.network import Network
-from repro.sim.trace import TraceLog
-from repro.metrics.stats import Summary, ratio
+from repro.obs.stats import Summary, TimeBucket, bucketize, ratio
+
+if TYPE_CHECKING:
+    # Annotation only: repro.sim.trace imports this package.
+    from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -39,10 +40,6 @@ class DeliveryStats:
     per_item: Dict[str, int] = field(default_factory=dict)
     per_node: Dict[str, int] = field(default_factory=dict)
     summary: Summary = field(default_factory=lambda: Summary.of(()))
-
-    @property
-    def total_deliveries(self) -> int:
-        return sum(self.per_item.values())
 
 
 def collect_delivery_stats(trace: TraceLog, kind: str = "deliver") -> DeliveryStats:
@@ -115,10 +112,6 @@ def latency_summary(trace: TraceLog, kind: str = "deliver") -> Summary:
     return collect_delivery_stats(trace, kind).summary
 
 
-def deliveries_per_item(trace: TraceLog, kind: str = "deliver") -> Dict[str, int]:
-    return collect_delivery_stats(trace, kind).per_item
-
-
 def delivery_ratio(
     trace: TraceLog,
     expected: Dict[str, int],
@@ -145,54 +138,18 @@ def delivery_ratio(
     return ratio(total_delivered, total_expected)
 
 
-@dataclass(frozen=True)
-class NodeLoad:
-    """Traffic seen by one node over a measurement window."""
-
-    node: str
-    sent_messages: int
-    sent_bytes: int
-    received_messages: int
-    received_bytes: int
-
-    @property
-    def total_messages(self) -> int:
-        return self.sent_messages + self.received_messages
-
-    @property
-    def total_bytes(self) -> int:
-        return self.sent_bytes + self.received_bytes
-
-
-def node_load(network: Network, node_id: NodeId) -> NodeLoad:
-    stats = network.node_stats(node_id)
-    return NodeLoad(
-        node=str(node_id),
-        sent_messages=stats.sent_messages,
-        sent_bytes=stats.sent_bytes,
-        received_messages=stats.received_messages,
-        received_bytes=stats.received_bytes,
+def event_timeline(
+    trace: TraceLog,
+    kind: str,
+    window: float,
+    start: float = 0.0,
+    end: Optional[float] = None,
+) -> list[TimeBucket]:
+    """Event-rate series of one trace kind: retained ``kind`` events
+    counted into ``window``-wide buckets (see :func:`bucketize`)."""
+    return bucketize(
+        (event.time for event in trace.events(kind)),
+        window=window,
+        start=start,
+        end=end,
     )
-
-
-def collect_causal_summary(trace: TraceLog) -> Optional[Dict[str, object]]:
-    """The attached :class:`~repro.obs.causal.CausalSink`'s aggregate.
-
-    Returns ``None`` when no causal sink is attached — same shape the
-    experiment manifests store under ``extra.causal``.
-    """
-    sink = trace.causal_sink()
-    return sink.summary() if sink is not None else None
-
-
-def forwarding_efficiency(trace: TraceLog) -> Dict[str, int]:
-    """Counter snapshot of the selective-forwarding machinery."""
-    return {
-        "publish": trace.count("publish"),
-        "forward": trace.count("forward"),
-        "filtered": trace.count("filtered"),
-        "deliver": trace.count("deliver"),
-        "rejected": trace.count("rejected"),       # leaf false positives
-        "dup_dropped": trace.count("dup-dropped"),
-        "repair_delivered": trace.count("repair-delivered"),
-    }

@@ -30,6 +30,8 @@ import functools
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.stats import format_table
+
 __all__ = [
     "KernelProfiler",
     "format_profile_payload",
@@ -307,10 +309,6 @@ def format_profile_report(profiler: KernelProfiler, top: int = 10) -> str:
 def format_profile_payload(payload: Dict[str, Any]) -> str:
     """Render a :meth:`KernelProfiler.summary` payload (live or from a
     ``<name>-profile.json`` artifact)."""
-    # Deferred: repro.metrics.__init__ imports repro.sim.trace, which
-    # imports this package — a module-level import would be circular.
-    from repro.metrics.report import format_table
-
     lines = [
         "event-kernel profile: "
         f"{payload['events']:,} events, "

@@ -37,6 +37,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.causal import CausalSink, format_causal_report
 from repro.obs.manifest import RunManifest
+from repro.obs.profile import format_profile_payload
+from repro.obs.stats import format_table
 
 
 class ReportError(Exception):
@@ -116,8 +118,6 @@ def report_from_run(name: str, quick: bool, seed: Optional[int]) -> str:
 
 def report_from_telemetry(path: Path) -> str:
     """Summarize a live-run telemetry JSONL per worker."""
-    from repro.metrics.report import format_table
-
     rows = read_jsonl(path)
     workers: Dict[Any, Dict[str, Any]] = {}
     max_queue: Dict[Any, float] = {}
@@ -150,8 +150,6 @@ def report_from_telemetry(path: Path) -> str:
 
 def report_from_profile(path: Path) -> str:
     """Render a saved ``<name>-profile.json`` artifact."""
-    from repro.obs.profile import format_profile_payload
-
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:

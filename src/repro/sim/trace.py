@@ -117,7 +117,7 @@ class TraceLog:
 
         Only a :class:`MemorySink` retains events; with streaming-only
         sinks this is empty and readers should consume sink aggregates
-        (see :mod:`repro.metrics.collectors`).
+        (see :mod:`repro.obs.collectors`).
         """
         memory = self._memory
         events = memory.events if memory is not None else _EMPTY

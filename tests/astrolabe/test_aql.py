@@ -1,7 +1,7 @@
 """Tests for the AQL aggregation language."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.errors import AqlEvaluationError, AqlSyntaxError
 from repro.astrolabe.aql import (
@@ -309,7 +309,7 @@ PROGRAMS = st.sampled_from([
 
 class TestCompiledMatchesInterpreter:
     @given(PROGRAMS, st.lists(ROW_STRATEGY, max_size=12))
-    @settings(max_examples=200)
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
     def test_differential(self, source, rows):
         program = AqlProgram(source)
         try:

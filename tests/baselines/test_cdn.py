@@ -10,6 +10,7 @@ from repro.sim.trace import TraceLog
 from repro.baselines.cdn import build_cdn, nearest_edge
 from repro.baselines.pull import PullClient
 from repro.news.item import NewsItem
+from repro.runtime.sim import SimRuntime
 
 
 def item(serial):
@@ -21,7 +22,7 @@ def rig(num_edges=3):
     sim = Simulation(seed=4)
     network = Network(sim, latency=FixedLatency(0.02))
     trace = TraceLog(sim, kinds={"pull-deliver", "cdn-publish"})
-    origin, edges = build_cdn(sim, network, num_edges, trace=trace)
+    origin, edges = build_cdn(SimRuntime(sim, network), num_edges, trace=trace)
     return sim, network, trace, origin, edges
 
 
@@ -44,7 +45,7 @@ class TestCdn:
     def test_consumers_pull_from_their_edge(self):
         sim, network, trace, origin, edges = rig()
         client = PullClient(
-            ZonePath.parse("/region1/homes/c0"), sim, network,
+            ZonePath.parse("/region1/homes/c0"), SimRuntime(sim, network),
             nearest_edge(ZonePath.parse("/region1/homes/c0"), edges).node_id,
             poll_interval=5.0, mode="delta", trace=trace,
         )
@@ -73,7 +74,7 @@ class TestCdn:
         clients = []
         for region in (0, 1):
             client = PullClient(
-                ZonePath.parse(f"/region{region}/homes/c"), sim, network,
+                ZonePath.parse(f"/region{region}/homes/c"), SimRuntime(sim, network),
                 edges[region].node_id, poll_interval=5.0, mode="delta",
                 trace=trace,
             )
@@ -87,16 +88,14 @@ class TestCdn:
         assert edges[0].stats.dropped_overload > 0
 
     def test_needs_edges(self):
-        sim = Simulation()
-        network = Network(sim)
+        runtime = SimRuntime()
         with pytest.raises(ConfigurationError):
-            build_cdn(sim, network, 0)
+            build_cdn(runtime, 0)
 
     def test_publish_without_edges_rejected(self):
         from repro.baselines.cdn import CdnOrigin
 
-        sim = Simulation()
-        network = Network(sim)
-        origin = CdnOrigin(ZonePath.parse("/o/c"), sim, network)
+        runtime = SimRuntime()
+        origin = CdnOrigin(ZonePath.parse("/o/c"), runtime)
         with pytest.raises(ConfigurationError):
             origin.publish(item(1))

@@ -9,6 +9,7 @@ from repro.sim.network import FixedLatency, Network
 from repro.sim.trace import TraceLog
 from repro.baselines.direct_push import PushOrigin, PushSubscriber
 from repro.news.item import NewsItem
+from repro.runtime.sim import SimRuntime
 
 
 def zp(text):
@@ -18,10 +19,11 @@ def zp(text):
 def rig(num_subscribers=10, send_rate=100.0):
     sim = Simulation(seed=3)
     network = Network(sim, latency=FixedLatency(0.01))
+    runtime = SimRuntime(sim, network)
     trace = TraceLog(sim, kinds={"push-deliver"})
-    origin = PushOrigin(zp("/o/p"), sim, network, send_rate=send_rate, trace=trace)
+    origin = PushOrigin(zp("/o/p"), runtime, send_rate=send_rate, trace=trace)
     subscribers = [
-        PushSubscriber(zp(f"/s/s{i}"), sim, network, trace=trace)
+        PushSubscriber(zp(f"/s/s{i}"), runtime, trace=trace)
         for i in range(num_subscribers)
     ]
     return sim, origin, subscribers, trace
@@ -75,7 +77,6 @@ class TestPush:
         assert origin.stats.peak_backlog == 10
 
     def test_send_rate_validation(self):
-        sim = Simulation()
-        network = Network(sim)
+        runtime = SimRuntime()
         with pytest.raises(ConfigurationError):
-            PushOrigin(zp("/o/p"), sim, network, send_rate=0.0)
+            PushOrigin(zp("/o/p"), runtime, send_rate=0.0)

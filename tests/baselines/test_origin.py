@@ -41,9 +41,10 @@ class Client(Process):
 def rig():
     sim = Simulation(seed=1)
     network = Network(sim, latency=FixedLatency(0.01))
-    origin = OriginServer(zp("/o/www"), sim, network, capacity=100.0,
+    runtime = SimRuntime(sim, network)
+    origin = OriginServer(zp("/o/www"), runtime, capacity=100.0,
                           max_queue=5, page_items=3)
-    client = Client(zp("/c/c0"), SimRuntime(sim, network))
+    client = Client(zp("/c/c0"), runtime)
     return sim, origin, client
 
 
@@ -135,12 +136,11 @@ class TestOverload:
         assert len(client.responses) == 1
 
     def test_capacity_validation(self):
-        sim = Simulation()
-        network = Network(sim)
+        runtime = SimRuntime()
         with pytest.raises(ConfigurationError):
-            OriginServer(zp("/o/www"), sim, network, capacity=0.0)
+            OriginServer(zp("/o/www"), runtime, capacity=0.0)
         with pytest.raises(ConfigurationError):
-            OriginServer(zp("/o/www"), sim, network, max_queue=0)
+            OriginServer(zp("/o/www"), runtime, max_queue=0)
 
     def test_service_rate_paces_responses(self, rig):
         sim, origin, client = rig

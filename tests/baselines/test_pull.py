@@ -10,6 +10,7 @@ from repro.sim.trace import TraceLog
 from repro.baselines.origin import OriginServer
 from repro.baselines.pull import PullClient
 from repro.news.item import NewsItem
+from repro.runtime.sim import SimRuntime
 
 
 def zp(text):
@@ -19,10 +20,11 @@ def zp(text):
 def rig(mode="full", poll_interval=10.0, subjects=None):
     sim = Simulation(seed=2)
     network = Network(sim, latency=FixedLatency(0.01))
+    runtime = SimRuntime(sim, network)
     trace = TraceLog(sim, kinds={"pull-deliver"})
-    origin = OriginServer(zp("/o/www"), sim, network, capacity=1000.0,
+    origin = OriginServer(zp("/o/www"), runtime, capacity=1000.0,
                           page_items=5, trace=trace)
-    client = PullClient(zp("/c/c0"), sim, network, origin.node_id,
+    client = PullClient(zp("/c/c0"), runtime, origin.node_id,
                         poll_interval=poll_interval, mode=mode,
                         subjects=subjects, trace=trace)
     client.start()
@@ -84,15 +86,13 @@ class TestRssMode:
 
 class TestValidation:
     def test_bad_mode(self):
-        sim = Simulation()
-        network = Network(sim)
+        runtime = SimRuntime()
         with pytest.raises(ConfigurationError):
-            PullClient(zp("/c/x"), sim, network, zp("/o/www"),
+            PullClient(zp("/c/x"), runtime, zp("/o/www"),
                        poll_interval=1.0, mode="push")
 
     def test_bad_interval(self):
-        sim = Simulation()
-        network = Network(sim)
+        runtime = SimRuntime()
         with pytest.raises(ConfigurationError):
-            PullClient(zp("/c/x"), sim, network, zp("/o/www"),
+            PullClient(zp("/c/x"), runtime, zp("/o/www"),
                        poll_interval=0.0)

@@ -1,21 +1,15 @@
-"""Tests for metric collectors and report formatting."""
+"""Tests for the trace-reading delivery collectors."""
 
 import pytest
 
-from repro.core.identifiers import ZonePath
-from repro.obs.sinks import StreamingSink
-from repro.sim.engine import Simulation
-from repro.sim.network import Network
-from repro.sim.trace import TraceLog
-from repro.metrics.collectors import (
+from repro.obs.collectors import (
     collect_delivery_stats,
-    deliveries_per_item,
     delivery_latencies,
     delivery_ratio,
-    forwarding_efficiency,
-    node_load,
 )
-from repro.metrics.report import format_series, format_table, format_value
+from repro.obs.sinks import StreamingSink
+from repro.sim.engine import Simulation
+from repro.sim.trace import TraceLog
 
 
 def trace_with_deliveries(**kwargs):
@@ -30,9 +24,6 @@ def trace_with_deliveries(**kwargs):
 class TestCollectors:
     def test_delivery_latencies(self):
         assert delivery_latencies(trace_with_deliveries()) == [0.5, 1.5, 2.0]
-
-    def test_deliveries_per_item(self):
-        assert deliveries_per_item(trace_with_deliveries()) == {"i1": 2, "i2": 1}
 
     def test_delivery_ratio_full(self):
         trace = trace_with_deliveries()
@@ -49,24 +40,6 @@ class TestCollectors:
     def test_delivery_ratio_empty_expectation(self):
         assert delivery_ratio(trace_with_deliveries(), {}) == 0.0
 
-    def test_node_load(self):
-        sim = Simulation()
-        network = Network(sim)
-        node_id = ZonePath.parse("/a/b")
-        stats = network.node_stats(node_id)
-        stats.sent_messages = 3
-        stats.sent_bytes = 100
-        stats.received_messages = 2
-        stats.received_bytes = 50
-        load = node_load(network, node_id)
-        assert load.total_messages == 5
-        assert load.total_bytes == 150
-
-    def test_forwarding_efficiency_keys(self):
-        snapshot = forwarding_efficiency(trace_with_deliveries())
-        assert snapshot["deliver"] == 3
-        assert set(snapshot) >= {"publish", "forward", "filtered", "rejected"}
-
 
 class TestCollectorSources:
     def test_memory_source_shares_one_pass(self):
@@ -75,7 +48,7 @@ class TestCollectorSources:
         assert stats.latencies == [0.5, 1.5, 2.0]
         assert stats.per_item == {"i1": 2, "i2": 1}
         assert stats.per_node == {"/a": 2, "/b": 1}
-        assert stats.total_deliveries == 3
+        assert sum(stats.per_item.values()) == 3
         assert stats.summary.count == 3
         assert stats.summary.maximum == 2.0
 
@@ -102,23 +75,3 @@ class TestCollectorSources:
         assert delivery_ratio(trace, {"i1": 1}, stats=stats) == 1.0
         assert delivery_ratio(trace, {"i1": 2}, stats=stats) == 0.5
 
-
-class TestReport:
-    def test_format_value(self):
-        assert format_value(1234) == "1,234"
-        assert format_value(0.5) == "0.5"
-        assert format_value(1e-5) == "1.00e-05"
-        assert format_value("x") == "x"
-
-    def test_format_table_aligns(self):
-        table = format_table(["name", "value"], [("a", 1), ("bbbb", 22)],
-                             title="T")
-        lines = table.splitlines()
-        assert lines[0] == "T"
-        assert "name" in lines[1]
-        assert len(lines) == 5
-
-    def test_format_series(self):
-        series = format_series("s", [(1, 2.0)], x_label="n", y_label="t")
-        assert "series: s" in series
-        assert "1\t2" in series

@@ -1,10 +1,10 @@
-"""Tests for summary statistics."""
+"""Tests for summary statistics and table formatting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.metrics.stats import Summary, cdf_points, percentile, ratio
+from repro.obs.stats import Summary, format_table, format_value, percentile, ratio
 
 FLOATS = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -68,21 +68,23 @@ class TestSummary:
         assert "p99" in text and "mean" in text
 
 
-class TestCdfAndRatio:
-    def test_cdf_points_monotone(self):
-        points = cdf_points([5, 1, 3, 2, 4], points=5)
-        xs = [x for x, _ in points]
-        ys = [y for _, y in points]
-        assert xs == sorted(xs)
-        assert ys == [0.2, 0.4, 0.6, 0.8, 1.0]
-
-    def test_cdf_empty(self):
-        assert cdf_points([]) == []
-
-    def test_cdf_last_point_is_max(self):
-        points = cdf_points([1, 9, 5], points=3)
-        assert points[-1] == (9, 1.0)
-
+class TestRatio:
     def test_ratio(self):
         assert ratio(1, 2) == 0.5
         assert ratio(1, 0) == 0.0
+
+
+class TestReport:
+    def test_format_value(self):
+        assert format_value(1234) == "1,234"
+        assert format_value(0.5) == "0.5"
+        assert format_value(1e-5) == "1.00e-05"
+        assert format_value("x") == "x"
+
+    def test_format_table_aligns(self):
+        table = format_table(["name", "value"], [("a", 1), ("bbbb", 22)],
+                             title="T")
+        lines = table.splitlines()
+        assert lines[0] == "T"
+        assert "name" in lines[1]
+        assert len(lines) == 5

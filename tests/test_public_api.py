@@ -20,7 +20,7 @@ PACKAGES = [
     "repro.news",
     "repro.baselines",
     "repro.workloads",
-    "repro.metrics",
+    "repro.obs",
     "repro.experiments",
 ]
 
